@@ -5,7 +5,7 @@ tridiagonal solve ``T = U Lambda U^T``, the eigenvectors of ``A`` are
 
     V = Q_sbr @ Q1 @ U.
 
-``Q1`` (bulge chasing) is applied reflector-by-reflector
+``Q1`` (bulge chasing) is applied in diamond compact-WY blocks
 (:meth:`repro.core.bulge_chasing.BulgeChasingResult.apply_q1`); this module
 provides the **SBR back transformation** ``X <- Q_sbr X`` in the three
 flavours the paper compares:
@@ -226,7 +226,7 @@ def assemble_eigenvectors(
 
     ``U`` holds the tridiagonal eigenvectors (columns).  Returns a new
     host array; ``U`` is not modified.  ``Q1`` is applied on the host
-    (scalar reflector replay); the SBR factor runs on the context's
+    (diamond-blocked); the SBR factor runs on the context's
     backend.
     """
     ctx = resolve_context(ctx)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backend.context import ExecutionContext, resolve_context
+from .bc_back_transform import DiamondBlocks, diamond_blocks
 from .householder import make_householder
 
 __all__ = [
@@ -102,12 +103,11 @@ class BulgeChasingResult:
         return self.d.size
 
     def _committed(self) -> list[BCReflector]:
-        """The reflector log, verified to already be in ``seq`` order.
+        """The reflector log, verified to be in ``seq`` order.
 
-        Every driver commits reflectors in ascending ``seq`` order, so the
-        back transformation can walk the list directly instead of
-        re-sorting the full log on every call.  The monotonicity contract
-        is asserted once per result and cached.
+        Every driver commits reflectors in ascending ``seq`` order; a log
+        out of that order is not a chase's output, so it is rejected
+        before ``Q1`` is built from it.  The check runs once per result.
         """
         if not getattr(self, "_seq_checked", False):
             seqs = [r.seq for r in self.reflectors]
@@ -118,23 +118,41 @@ class BulgeChasingResult:
             self._seq_checked = True
         return self.reflectors
 
-    def apply_q1(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1 X``.
+    def stacked_reflectors(self):
+        """The log stacked as ``(sweeps, steps, offsets, V, tau)``, with
+        ``V`` zero-padded to the longest reflector."""
+        refl = self._committed()
+        V = np.zeros(
+            (len(refl), max((r.v.size for r in refl), default=0)),
+            dtype=refl[0].v.dtype if refl else np.float64,
+        )
+        for s, r in enumerate(refl):
+            V[s, : r.v.size] = r.v
+        sweeps, steps, offsets = (
+            np.array([getattr(r, a) for r in refl], dtype=np.int64)
+            for a in ("sweep", "step", "offset")
+        )
+        tau = np.array([r.tau for r in refl], dtype=V.dtype)
+        return sweeps, steps, offsets, V, tau
 
-        ``Q1 = H_1 H_2 ... H_K`` (seq order), so reflectors are applied to
-        ``X`` in *reverse* commit order.  This is the BC back
-        transformation: cost ``O(n^2 * n/b)`` fused small updates, the
-        bottleneck the paper leaves as future work.
+    def q1_blocks(self) -> DiamondBlocks:
+        """``Q1`` as diamond compact-WY blocks.
+
+        Built per application and not kept: the build is ~10% of one
+        application, and a result held in a cache would otherwise carry
+        blocks several times the size of its reflectors.
         """
-        for r in reversed(self._committed()):
-            sub = X[r.offset : r.offset + r.v.size, :]
-            sub -= np.outer(r.tau * r.v, r.v @ sub)
+        return diamond_blocks(*self.stacked_reflectors(), n=self.n)
+
+    def apply_q1(self, X: np.ndarray) -> None:
+        """In place ``X <- Q1 X`` — the BC back transformation, as two
+        small GEMMs per diamond block (see
+        :mod:`repro.core.bc_back_transform`)."""
+        self.q1_blocks().apply(X)
 
     def apply_q1_transpose(self, X: np.ndarray) -> None:
-        """In place ``X <- Q1^T X`` (forward commit order)."""
-        for r in self._committed():
-            sub = X[r.offset : r.offset + r.v.size, :]
-            sub -= np.outer(r.tau * r.v, r.v @ sub)
+        """In place ``X <- Q1^T X``."""
+        self.q1_blocks().apply(X, transpose=True)
 
     def q1(self) -> np.ndarray:
         """Materialize ``Q1`` (tests / small matrices)."""

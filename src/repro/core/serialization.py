@@ -50,9 +50,9 @@ def save_tridiag(path, result: TridiagResult) -> None:
             data["block_W"] = np.concatenate([b.W.ravel() for b in br.blocks])
             data["block_Y"] = np.concatenate([b.Y.ravel() for b in br.blocks])
     if isinstance(result.bc_result, WavefrontBCResult):
-        # Keep the stacked (per-round) form: a reloaded result then
-        # replays ``apply_q1`` through the identical batched kernels,
-        # so the round trip stays bit-exact.
+        # Keep the stacked (per-round) form: a reloaded result builds
+        # its ``Q1`` blocks from the identical arrays, so the round
+        # trip stays bit-exact.
         wf = result.bc_result
         groups = wf.round_groups
         data["bc_flops"] = np.array(wf.flops)

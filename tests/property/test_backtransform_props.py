@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.band.ops import random_symmetric_band
 from repro.core.back_transform import q_from_blocks
-from repro.core.bc_back_transform import apply_q1_blocked, blocked_q1_blocks
+from repro.core.bc_back_transform import diamond_blocks
 from repro.core.bulge_chasing import bulge_chase
 from repro.core.dbbr import dbbr
 
@@ -57,18 +57,20 @@ def bc_case(draw):
 @settings(max_examples=30, deadline=None)
 @given(bc_case())
 def test_blocked_bc_back_exact_for_any_group(case):
-    """WY-blocking the reflector log is order-preserving for every group
-    width: blocked Q1 equals the scalar Q1."""
+    """The diamond blocks reproduce ``Q1`` for every group width: equal
+    to the seq-ordered product of the logged reflectors."""
     n, b, group, seed = case
     A = random_symmetric_band(n, b, np.random.default_rng(seed))
     bc = bulge_chase(A, b)
-    blocks = blocked_q1_blocks(bc, group=group)
+    blocks = diamond_blocks(*bc.stacked_reflectors(), n=n, group=group)
+    Q = np.eye(n)
+    for r in bc.reflectors:
+        cols = Q[:, r.offset : r.offset + r.v.size]
+        cols -= np.outer(cols @ r.v, r.tau * r.v)
     X = np.random.default_rng(seed + 1).standard_normal((n, 3))
-    Y1 = X.copy()
-    bc.apply_q1(Y1)
-    Y2 = X.copy()
-    apply_q1_blocked(blocks, Y2)
-    assert np.allclose(Y1, Y2, atol=1e-10)
+    Y = X.copy()
+    blocks.apply(Y)
+    assert np.allclose(Y, Q @ X, atol=1e-10)
     # Round trip through the transpose.
-    apply_q1_blocked(blocks, Y2, transpose=True)
-    assert np.allclose(Y2, X, atol=1e-10)
+    blocks.apply(Y, transpose=True)
+    assert np.allclose(Y, X, atol=1e-10)
